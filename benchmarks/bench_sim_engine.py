@@ -1,4 +1,4 @@
-"""Event-batched engine runtime gates (fig-scale cycle sweep).
+"""Event-batched engine runtime gate (fig-scale cycle sweep).
 
 The batched engine (:mod:`repro.sim.batched`) exists to make
 cycle-accurate runs affordable where the step engine burns its time
@@ -10,28 +10,20 @@ chase (one request in flight) — and requires the batched engine to be
 at least ``MIN_SPEEDUP`` faster in aggregate, bit-exact against the
 step oracle on cycles, stats and occupancy.
 
-Bus-saturated cells — where DRAM and the coalescer act nearly every
-cycle and plain cycle-skipping is structurally parity — are gated too
-since bulk transfer mode landed: the batched engine must now be
-strictly *faster* than step on them.  The honest ceiling there is
-modest and measured, not aspirational: profiling shows the per-cycle
-tick work (coalescer window matching, reorder forwarding) is shared
-verbatim between engines and accounts for over half of step's runtime
-on the adapter cell, so even a zero-overhead scheduler caps below 2x.
-What bulk mode actually removes is the DRAM FR-FCFS scan and the
-dispatch overhead on saturated spans (measured: DRAM profile share
-~35% -> ~16%), which lands the adapter cell at ~1.2x and the raw
-sequential-block stream (bus utilization ~0.9) at ~1.3x.  The gates
-below sit under those measurements with noise margin; they would fail
-on any regression back to parity.
+Bus-saturated streams are not gated.  There the DRAM channel and the
+coalescer act nearly every cycle, so there is little quiet time to
+jump and the batched engine runs at about parity with step (its fused
+loop ticks everything exactly like the step engine); a speed ratio
+near 1.0 on a 2-core runner measures host noise, not the engine.  Their
+correctness is pinned by the saturated and burst-boundary cells of the
+step-vs-batched differential grid in ``tests/test_sim_engines.py``.
 """
 
 import time
 
 import numpy as np
 
-from repro.config import DramConfig, mlp_config
-from repro.axipack.adapter import run_indirect_stream
+from repro.config import DramConfig
 from repro.mem.backing_store import BackingStore
 from repro.mem.dram import DramChannel
 from repro.mem.request import MemRequest
@@ -46,12 +38,6 @@ STREAM_N = 60_000
 THRASH_ROWS = 250
 #: required aggregate batched-vs-step speedup on the gated sweep.
 MIN_SPEEDUP = 5.0
-#: required batched-vs-step speedup on the bus-saturated adapter cell
-#: (measured ~1.2x with bulk mode; floor leaves noise margin).
-MIN_SATURATED_SPEEDUP = 1.05
-#: required speedup on the bus-saturated raw sequential-block stream
-#: (measured ~1.3x with bulk mode).
-MIN_SEQ_BLOCKS_SPEEDUP = 1.1
 
 
 class _Driver(Component):
@@ -167,84 +153,4 @@ def test_bench_engine_row_thrash_speedup(benchmark):
     assert speedup >= MIN_SPEEDUP, (
         f"batched engine {speedup:.2f}x on the row-thrash sweep "
         f"(gate {MIN_SPEEDUP}x)"
-    )
-
-
-def _best_of(fn, rounds: int = 3) -> float:
-    """Minimum wall-clock over ``rounds`` runs (noise-robust pairing for
-    speedup gates — both engines get the same treatment)."""
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def test_bench_engine_saturated_speedup(benchmark):
-    """Gate: the previously-parity bus-saturated adapter cell.  With
-    bulk transfer mode the batched engine must be strictly faster than
-    step here, not merely non-pathological.  The floor is set from the
-    measured ~1.2x (see module docstring for why the structural ceiling
-    is far below the latency-bound cells' 5x+): the gate's job is to
-    catch a regression back to parity, where bulk spans stop being
-    granted on saturated DRAM traffic."""
-    rng = np.random.default_rng(7)
-    n = 4096
-    idx = rng.integers(0, n * 4, n).astype(np.uint32)
-    config = mlp_config(64)
-
-    step = run_indirect_stream(idx, config, engine="step")
-    batched = run_indirect_stream(idx, config, engine="batched")
-    assert step.cycles == batched.cycles, "engines diverge on saturated cell"
-
-    step_seconds = _best_of(lambda: run_indirect_stream(idx, config, engine="step"))
-    benchmark.pedantic(
-        lambda: run_indirect_stream(idx, config, engine="batched"),
-        rounds=3,
-        iterations=1,
-    )
-    batched_seconds = benchmark.stats.stats.min
-
-    speedup = step_seconds / batched_seconds
-    record(
-        benchmark,
-        "sim_engine_saturated",
-        {
-            "rows": [
-                {
-                    "workload": "adapter-random-MLP64",
-                    "cycles": step.cycles,
-                    "step_s": round(step_seconds, 3),
-                    "batched_s": round(batched_seconds, 3),
-                    "speedup": round(speedup, 2),
-                }
-            ],
-            "summary": {
-                "stream_n": n,
-                "saturated_speedup": round(speedup, 2),
-            },
-        },
-    )
-    assert speedup >= MIN_SATURATED_SPEEDUP, (
-        f"batched engine {speedup:.2f}x on the saturated adapter cell "
-        f"(gate {MIN_SATURATED_SPEEDUP}x)"
-    )
-
-
-def test_bench_engine_seq_blocks_speedup():
-    """Gate: bus-saturated raw sequential-block stream (row hits nearly
-    every access, bus utilization ~0.9) — the densest traffic the DRAM
-    bulk path handles, a grant every t_burst cycles inside bulk spans."""
-    blocks = np.arange(20_000) % (1 << 14)
-    step = _run_raw_dram("step", blocks, 1 << 30)
-    batched = _run_raw_dram("batched", blocks, 1 << 30)
-    assert step[:3] == batched[:3], "engines diverge on seq-blocks stream"
-
-    step_seconds = _best_of(lambda: _run_raw_dram("step", blocks, 1 << 30))
-    batched_seconds = _best_of(lambda: _run_raw_dram("batched", blocks, 1 << 30))
-    speedup = step_seconds / batched_seconds
-    assert speedup >= MIN_SEQ_BLOCKS_SPEEDUP, (
-        f"batched engine {speedup:.2f}x on the seq-blocks stream "
-        f"(gate {MIN_SEQ_BLOCKS_SPEEDUP}x)"
     )

@@ -352,26 +352,6 @@ class RequestCoalescer(Component):
             self.request_queues
         )
 
-    def max_bulk(self, limit: int) -> int:
-        # The only regular multi-cycle bursts this component has are the
-        # pure waits: watchdog arming and regulator aging, whose expiry
-        # distances are exactly what next_event reports.  Every cycle
-        # strictly before that due point is a counter-only no-op (the
-        # advance contract), so the span up to — but excluding — the
-        # nearest watchdog/regulator boundary is bulk-safe.
-        due = self.next_event()
-        if due is None:
-            return 0  # sleeping on external input; nothing to fast-forward
-        span = due - self.cycle
-        if span <= 1:
-            return 0
-        return span if span < limit else limit
-
-    def bulk_tick(self, cycles: int) -> None:
-        # A bulk span is by construction a skippable quiet span, so the
-        # replay is identical to the engine's catch-up path.
-        self.advance(cycles)
-
     # -- reporting ------------------------------------------------------------------
 
     @property

@@ -272,21 +272,6 @@ class WriteCoalescer(Component):
             self.request_queues
         )
 
-    def max_bulk(self, limit: int) -> int:
-        # Mirrors RequestCoalescer.max_bulk: the watchdog/regulator waits
-        # are the only regular bursts, and next_event already reports the
-        # nearest expiry; the span strictly before it is counter-only.
-        due = self.next_event()
-        if due is None:
-            return 0
-        span = due - self.cycle
-        if span <= 1:
-            return 0
-        return span if span < limit else limit
-
-    def bulk_tick(self, cycles: int) -> None:
-        self.advance(cycles)
-
     @property
     def done(self) -> bool:
         if self._queued or self._warp:

@@ -48,6 +48,7 @@ import numpy as np
 
 from ..engine import SweepExecutor, grid_points
 from ..errors import CorpusError, ReproError
+from ..fsio import atomic_write
 from ..obs import trace as obs_trace
 from ..report.claims import corpus_claim_tolerances, corpus_claim_verdicts
 from ..report.rollup import corpus_claim_summary, family_rollup
@@ -131,22 +132,6 @@ def _normalize_rows(rows: list[dict]) -> list[dict]:
     serialisation byte-identical — the resume contract's foundation.
     """
     return json.loads(json.dumps(rows, default=_plain))
-
-
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    # No sort_keys: journaled rows must keep their column order, which
-    # is what the store serialises tables in.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-    try:
-        with os.fdopen(handle, "w") as tmp:
-            json.dump(payload, tmp, indent=2)
-            tmp.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
 
 
 class CorpusRunner:
@@ -321,10 +306,11 @@ class CorpusRunner:
         """Journal one computed group and mark it completed (atomic)."""
         if self.store is None:
             return
-        _write_json_atomic(
-            self._journal_path(slug),
-            {"key": key, "entry": entry.name, "rows": rows},
-        )
+        # No sort_keys: journaled rows must keep their column order,
+        # which is what the store serialises tables in.
+        with atomic_write(self._journal_path(slug)) as out:
+            json.dump({"key": key, "entry": entry.name, "rows": rows}, out, indent=2)
+            out.write("\n")
         try:
             manifest = self.store.read_manifest()
         except ReproError:

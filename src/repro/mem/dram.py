@@ -93,17 +93,6 @@ class DramChannel(Component):
         #: "the previous tick acted" from "the queue is quiescent".
         self._acts = 0
         self._acts_seen = -1
-        #: bulk-mode mirror (batched engine only, see set_bulk): pending
-        #: entries split per bank in arrival order, plus a cached frozen
-        #: -state FR-FCFS view per bank — the minimum-seq eligible row
-        #: hit and the first eligible non-hit in arrival order.  The
-        #: oracle _service recomputes both from scratch every cycle;
-        #: the mirror invalidates a bank only when its queue or open row
-        #: changes, making the per-cycle decision O(num_banks).
-        self._bank_q: list[list] | None = None
-        self._bank_dirty: list[bool] = []
-        self._bank_hit: list = []
-        self._bank_miss: list = []
 
     # -- address mapping -------------------------------------------------
 
@@ -123,10 +112,7 @@ class DramChannel(Component):
         self._refresh()
         self._close_idle_rows()
         if self._pending and self.cycle >= self._refresh_until:
-            if self._bank_q is not None:
-                self._service_bulk()
-            else:
-                self._service()
+            self._service()
 
     def _refresh(self) -> None:
         """All-bank refresh every tREFI: the channel stalls for tRFC and
@@ -140,42 +126,33 @@ class DramChannel(Component):
             for bank in self._banks:
                 bank.open_row = None
                 bank.ready_at = max(bank.ready_at, self._refresh_until)
-            if self._bank_q is not None:
-                dirty = self._bank_dirty
-                for idx in range(len(dirty)):
-                    dirty[idx] = True
             self.stats.add("refreshes")
             self._acts += 1
 
     def _ingest(self) -> None:
         config = self.config
-        bank_q = self._bank_q
         while self.req.can_pop() and len(self._pending) < config.queue_depth:
             request = self.req.pop()
             # Precompute the address decode once per request.
             bank = self.bank_of(request.addr)
-            entry = (
-                request.seq,
-                bank,
-                self.row_of(request.addr),
-                request.addr // config.access_bytes,
-                request,
+            self._pending.append(
+                (
+                    request.seq,
+                    bank,
+                    self.row_of(request.addr),
+                    request.addr // config.access_bytes,
+                    request,
+                )
             )
-            self._pending.append(entry)
             self._bank_load[bank] += 1
-            if bank_q is not None:
-                bank_q[bank].append(entry)
-                self._bank_dirty[bank] = True
 
     def _close_idle_rows(self) -> None:
         horizon = self.config.close_idle_cycles
         cycle = self.cycle
-        for idx, bank in enumerate(self._banks):
+        for bank in self._banks:
             if bank.open_row is not None and cycle - bank.last_use > horizon:
                 bank.open_row = None
                 bank.ready_at = max(bank.ready_at, cycle + self.config.t_rp)
-                if self._bank_q is not None:
-                    self._bank_dirty[idx] = True
                 self.stats.add("idle_closes")
                 self._acts += 1
 
@@ -240,15 +217,9 @@ class DramChannel(Component):
             return
         _seq, bank_idx, _row, _block, request = self._pending.pop(best_hit_pos)
         self._bank_load[bank_idx] -= 1
-        self._grant(bank_idx, request)
-
-    def _grant(self, bank_idx: int, request: MemRequest) -> None:
-        """Issue the column access for ``request`` (already removed from
-        the pending queue): occupy the data bus, set the CAS-to-CAS
-        spacing, and enqueue the response for delivery at ``finish``."""
-        config = self.config
-        cycle = self.cycle
-        bank = self._banks[bank_idx]
+        # Column access: occupy the data bus, set the CAS-to-CAS
+        # spacing, and enqueue the response for delivery at `finish`.
+        bank = banks[bank_idx]
         finish = cycle + config.t_cl + config.t_burst
         self._bus_free_at = cycle + config.t_burst
         self.busy_bus_cycles += config.t_burst
@@ -298,14 +269,11 @@ class DramChannel(Component):
         if self.req.can_pop() and len(self._pending) < config.queue_depth:
             return cycle
         pending = bool(self._pending)
-        if pending and self._bank_q is None:
+        if pending:
             acts = self._acts
             if acts != self._acts_seen:
                 # The previous tick acted, so the frozen-state analysis
                 # below would be stale: tick again and re-evaluate.
-                # (Bulk mode skips this heuristic: the per-bank mirror
-                # makes the service bound below exact enough to trust
-                # straight after an action.)
                 self._acts_seen = acts
                 return cycle
         due = self._min_finish
@@ -318,10 +286,7 @@ class DramChannel(Component):
                 if close_at < due:
                     due = close_at
         if pending:
-            if self._bank_q is not None:
-                due = min(due, self._bulk_service_due())
-            else:
-                due = min(due, self._service_due())
+            due = min(due, self._service_due())
         if due >= FAR_FUTURE:
             return None
         return due if due > cycle else cycle
@@ -355,305 +320,6 @@ class DramChannel(Component):
                 if at < ready:
                     ready = at
         return ready if ready > base else base
-
-    # -- bulk-transfer fast path (batched engine only) -----------------------
-    #
-    # The oracle _service re-scans the whole pending queue every cycle:
-    # O(queue_depth) with per-entry set lookups, ~35% of batched-engine
-    # runtime on saturated streams.  Bulk mode mirrors the queue into
-    # per-bank arrival-order lists and caches, per bank, exactly the two
-    # frozen-state facts the FR-FCFS decision needs:
-    #
-    # * the minimum-seq *eligible* entry matching the open row (the
-    #   bank's grant candidate — "first-ready" row hit), and
-    # * the first eligible non-hit in arrival order (the bank's
-    #   preparation candidate).
-    #
-    # Eligibility is the oracle's same-address hazard rule: only the
-    # first arrival per wide block counts (younger same-block entries
-    # are shadowed).  Same block implies same bank, so the oracle's
-    # global shadow set partitions cleanly per bank and the per-bank
-    # restriction of its arrival-order scan is this list walk.  A bank's
-    # cache is invalidated only when its queue or its open row changes
-    # (ingest, grant, preparation, refresh, idle close), so steady-state
-    # service decisions are O(num_banks) with rare O(bank queue)
-    # recomputes — and the same caches give next_event service bounds
-    # tight enough to jump the quiet gaps between bus beats.
-
-    def set_bulk(self, enabled: bool) -> None:
-        if enabled:
-            nb = self.config.num_banks
-            bank_q: list[list] = [[] for _ in range(nb)]
-            for entry in self._pending:
-                bank_q[entry[1]].append(entry)
-            self._bank_q = bank_q
-            self._bank_dirty = [True] * nb
-            self._bank_hit = [None] * nb
-            self._bank_miss = [None] * nb
-        else:
-            self._bank_q = None
-
-    def _recompute_bank(self, idx: int) -> None:
-        """Rebuild the cached grant/preparation candidates for one bank
-        from its arrival-order queue (frozen state)."""
-        open_row = self._banks[idx].open_row
-        hit = None
-        hit_seq = -1
-        miss = None
-        seen_blocks: set[int] = set()
-        for entry in self._bank_q[idx]:
-            block = entry[3]
-            if block in seen_blocks:
-                continue
-            seen_blocks.add(block)
-            if entry[2] == open_row and open_row is not None:
-                if hit is None or entry[0] < hit_seq:
-                    hit, hit_seq = entry, entry[0]
-            elif miss is None:
-                miss = entry
-        self._bank_hit[idx] = hit
-        self._bank_miss[idx] = miss
-        self._bank_dirty[idx] = False
-
-    def _service_bulk(self) -> None:
-        """Mirror-driven replica of :meth:`_service`: identical decision
-        from the same frozen state, O(num_banks) instead of O(queue)."""
-        config = self.config
-        cycle = self.cycle
-        banks = self._banks
-        bank_q = self._bank_q
-        dirty = self._bank_dirty
-        hits = self._bank_hit
-        misses = self._bank_miss
-
-        best_hit = None
-        best_seq = -1
-        prep_entry = None
-        prep_seq = -1
-        prep_bank = -1
-        for idx in range(len(banks)):
-            if not bank_q[idx]:
-                continue
-            if dirty[idx]:
-                self._recompute_bank(idx)
-            if banks[idx].ready_at > cycle:
-                continue
-            hit = hits[idx]
-            if hit is not None and (best_hit is None or hit[0] < best_seq):
-                best_hit, best_seq = hit, hit[0]
-            miss = misses[idx]
-            if miss is not None and (prep_entry is None or miss[0] < prep_seq):
-                prep_entry, prep_seq, prep_bank = miss, miss[0], idx
-
-        # Background preparation, suppressed when the chosen bank also
-        # has serviceable open-row work (oracle: prep_bank not in
-        # seen_banks_hit — a bank has an eligible hit iff its cached
-        # grant candidate is non-None, ready or not).
-        if prep_entry is not None and hits[prep_bank] is None:
-            bank = banks[prep_bank]
-            act_start = max(cycle, bank.next_act_at)
-            if bank.open_row is not None:
-                act_start += config.t_rp
-                self.stats.add("row_conflicts")
-                self._acts += 1
-            else:
-                self.stats.add("row_misses")
-                self._acts += 1
-            bank.open_row = prep_entry[2]
-            bank.ready_at = act_start + config.t_rcd
-            bank.next_act_at = act_start + config.t_rc
-            bank.last_use = bank.ready_at
-            dirty[prep_bank] = True
-
-        if cycle < self._bus_free_at or best_hit is None:
-            return
-        bank_idx = best_hit[1]
-        # Identity removal: request payloads may hold numpy arrays, so
-        # tuple == is off limits; seq uniqueness makes `is` sufficient.
-        queue = bank_q[bank_idx]
-        for pos, entry in enumerate(queue):
-            if entry is best_hit:
-                del queue[pos]
-                break
-        pending = self._pending
-        for pos, entry in enumerate(pending):
-            if entry is best_hit:
-                del pending[pos]
-                break
-        dirty[bank_idx] = True
-        self._bank_load[bank_idx] -= 1
-        self._grant(bank_idx, best_hit[4])
-
-    def _bulk_service_due(self) -> int:
-        """Exact earliest cycle at which :meth:`_service` would act,
-        from the per-bank mirror with state frozen (refresh, idle close
-        and grant events all invalidate the answer, but each is its own
-        due term, so the engine re-evaluates first).
-
-        Column issue fires at ``max(bus_free_at, earliest ready among
-        hit banks)`` — the FR-FCFS choice among ready hits affects only
-        *which* request goes, never *when*.  Preparation fires at the
-        first threshold cycle where the minimum-seq ready candidate sits
-        on a bank without serviceable open-row work: as bank ready
-        times pass, the candidate set only grows, so walking thresholds
-        in ready order while tracking the running minimum-seq candidate
-        reproduces the oracle's suppression behaviour exactly.
-        """
-        base = max(self.cycle, self._refresh_until)
-        banks = self._banks
-        bank_q = self._bank_q
-        dirty = self._bank_dirty
-        hits = self._bank_hit
-        misses = self._bank_miss
-        bus_free_at = self._bus_free_at
-        due = FAR_FUTURE
-        cands = None
-        for idx in range(len(banks)):
-            if not bank_q[idx]:
-                continue
-            if dirty[idx]:
-                self._recompute_bank(idx)
-            ready_at = banks[idx].ready_at
-            hit = hits[idx]
-            if hit is not None:
-                at = ready_at if ready_at >= bus_free_at else bus_free_at
-                if at < due:
-                    due = at
-            miss = misses[idx]
-            if miss is not None:
-                if cands is None:
-                    cands = []
-                cands.append(
-                    (ready_at if ready_at > base else base, miss[0], hit is None)
-                )
-        if cands is not None:
-            cands.sort()
-            best_seq = FAR_FUTURE
-            best_free = False
-            pos = 0
-            total = len(cands)
-            while pos < total:
-                threshold = cands[pos][0]
-                if threshold >= due:
-                    break  # a grant acts first; state changes there
-                # Admit every candidate bank becoming ready at this
-                # threshold before judging suppression (the oracle sees
-                # all ready banks of a cycle at once).
-                while pos < total and cands[pos][0] == threshold:
-                    _at, seq, free = cands[pos]
-                    if seq < best_seq:
-                        best_seq, best_free = seq, free
-                    pos += 1
-                if best_free:
-                    if threshold < due:
-                        due = threshold
-                    break
-        return due if due > base else base
-
-    def _grant_lower_bound(self) -> int:
-        """Earliest cycle any column access could possibly be issued,
-        allowing for preparations that have not started yet (a bank with
-        only non-hit work must at least finish an activate: tRCD after
-        the earliest legal activate start).  Never overshoots: ignoring
-        tRP, preparation suppression and refresh stalls only makes this
-        earlier than reality."""
-        config = self.config
-        base = max(self.cycle, self._refresh_until)
-        banks = self._banks
-        bank_q = self._bank_q
-        dirty = self._bank_dirty
-        hits = self._bank_hit
-        misses = self._bank_miss
-        earliest = FAR_FUTURE
-        for idx in range(len(banks)):
-            if not bank_q[idx]:
-                continue
-            if dirty[idx]:
-                self._recompute_bank(idx)
-            bank = banks[idx]
-            if hits[idx] is not None:
-                at = bank.ready_at
-            elif misses[idx] is not None:
-                at = max(base, bank.ready_at, bank.next_act_at) + config.t_rcd
-            else:
-                continue
-            if at < earliest:
-                earliest = at
-        if earliest >= FAR_FUTURE:
-            return FAR_FUTURE
-        return max(base, earliest, self._bus_free_at)
-
-    def max_bulk(self, limit: int) -> int:
-        if self._bank_q is None:
-            return 0
-        cycle = self.cycle
-        config = self.config
-        span = limit
-        # Response pushes bound the span: pending deliveries at their
-        # earliest finish, and any grant issued *inside* the span at its
-        # finish — lower-bounded by the earliest possible grant plus
-        # CAS latency and burst time.
-        if self._inflight:
-            gap = self._min_finish - cycle
-            if gap < span:
-                span = gap
-        ingestible = self.req.can_pop()
-        if ingestible and len(self._pending) < config.queue_depth:
-            return 0  # this tick pops the request FIFO
-        if self._pending:
-            grant_at = self._grant_lower_bound()
-            if grant_at < FAR_FUTURE:
-                if ingestible:
-                    # Full queue: the first grant frees a slot and the
-                    # next tick's ingest pops — keep that tick outside.
-                    gap = grant_at + 1 - cycle
-                    if gap < span:
-                        span = gap
-                gap = grant_at + config.t_cl + config.t_burst - cycle
-                if gap < span:
-                    span = gap
-        return span if span > 1 else 0
-
-    def bulk_tick(self, cycles: int) -> None:
-        """Execute a FIFO-silent span as an internal mini event loop:
-        jump between refresh / idle-close / service due times, with the
-        service bound's undershoots degrading to single-cycle steps.
-        Delivery and ingest are provably no-ops across the span (see
-        :meth:`max_bulk`), so skipping them is exact."""
-        end = self.cycle + cycles
-        while True:
-            due = self._internal_due()
-            if due >= end:
-                break
-            self.cycle = due
-            self._refresh()
-            self._close_idle_rows()
-            if self._pending and due >= self._refresh_until:
-                self._service_bulk()
-            # At most one preparation and one grant happen per cycle,
-            # and _service_bulk did both in one call: next action > due.
-            self.cycle = due + 1
-
-    def _internal_due(self) -> int:
-        """Next cycle at which refresh, idle close, or service could
-        act, ignoring delivery and ingest (callers guarantee neither
-        occurs in the window)."""
-        cycle = self.cycle
-        config = self.config
-        due = FAR_FUTURE
-        if config.t_refi > 0:
-            due = self._next_refresh_at
-        horizon = config.close_idle_cycles
-        for bank in self._banks:
-            if bank.open_row is not None:
-                close_at = bank.last_use + horizon + 1
-                if close_at < due:
-                    due = close_at
-        if self._pending:
-            at = self._bulk_service_due()
-            if at < due:
-                due = at
-        return due if due > cycle else cycle
 
     # -- reporting -----------------------------------------------------------
 

@@ -8,14 +8,11 @@ component name and by engine action:
     mode; the batched engine's due-tick and fused-loop paths),
 ``advance``
     the batched engine replayed a quiet span via ``Component.advance``
-    (including the 1-cycle sync gaps the fused loop charges on entry),
-``bulk``
-    the batched engine's solo bulk path covered the span with one
-    ``bulk_tick`` call.
+    (including the 1-cycle sync gaps the fused loop charges on entry).
 
 The contract is **exactness**: bins are incremented at precisely the
 points where an engine moves a component's synced cycle forward, so for
-every component the three bins sum to the cycles the simulator says
+every component the two bins sum to the cycles the simulator says
 elapsed — bit-exact, on both engines, including runs cut short by a
 deadlock.  ``tests/test_obs.py`` enforces this across the differential
 grid, which doubles as a proof that the batched engine's claimed
@@ -30,7 +27,7 @@ from __future__ import annotations
 
 import contextlib
 
-ACTIONS = ("tick", "advance", "bulk")
+ACTIONS = ("tick", "advance")
 
 _PROFILER: "CycleProfiler | None" = None
 
@@ -55,7 +52,7 @@ class CycleProfiler:
             return
         comp = self.bins.get(component)
         if comp is None:
-            comp = self.bins[component] = {"tick": 0, "advance": 0, "bulk": 0}
+            comp = self.bins[component] = dict.fromkeys(ACTIONS, 0)
         comp[action] += cycles
 
     def merge(self, bins: dict) -> None:
@@ -63,7 +60,7 @@ class CycleProfiler:
         for component, actions in bins.items():
             comp = self.bins.get(component)
             if comp is None:
-                comp = self.bins[component] = {"tick": 0, "advance": 0, "bulk": 0}
+                comp = self.bins[component] = dict.fromkeys(ACTIONS, 0)
             for action, cycles in actions.items():
                 comp[action] = comp.get(action, 0) + cycles
 
@@ -82,20 +79,19 @@ class CycleProfiler:
     def total(self) -> int:
         return sum(sum(actions.values()) for actions in self.bins.values())
 
-    def as_rows(self) -> list[tuple[str, int, int, int, int]]:
-        """Sorted ``(component, tick, advance, bulk, total)`` rows,
-        largest total first."""
+    def as_rows(self) -> list[tuple[str, int, int, int]]:
+        """Sorted ``(component, tick, advance, total)`` rows, largest
+        total first."""
         rows = [
             (
                 component,
                 actions.get("tick", 0),
                 actions.get("advance", 0),
-                actions.get("bulk", 0),
                 sum(actions.values()),
             )
             for component, actions in self.bins.items()
         ]
-        rows.sort(key=lambda row: (-row[4], row[0]))
+        rows.sort(key=lambda row: (-row[3], row[0]))
         return rows
 
 

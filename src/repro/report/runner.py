@@ -20,6 +20,7 @@ from pathlib import Path
 
 from ..engine import SweepExecutor, resolve_shards, workers_from_env
 from ..errors import ExperimentError
+from ..fsio import atomic_write
 from ..obs import trace as obs_trace
 from ..experiments import (
     adapter_model_from_env,
@@ -231,8 +232,8 @@ def run_report(
     store.write_manifest(manifest)
 
     doc_path = Path(doc_path)
-    doc_path.parent.mkdir(parents=True, exist_ok=True)
-    doc_path.write_text(render_document(store))
+    with atomic_write(doc_path) as out:
+        out.write(render_document(store))
     print(
         f"wrote {store.root}/ ({len(names)} tables + claims + manifest) "
         f"and {doc_path} "
@@ -253,8 +254,8 @@ def render_report(
     """Rewrite ``doc_path`` from the store alone (no experiment runs)."""
     stream = sys.stdout if stream is None else stream
     doc_path = Path(doc_path)
-    doc_path.parent.mkdir(parents=True, exist_ok=True)
-    doc_path.write_text(render_document(ResultStore(store_dir)))
+    with atomic_write(doc_path) as out:
+        out.write(render_document(ResultStore(store_dir)))
     print(f"rendered {doc_path} from {store_dir}/", file=stream)
     return doc_path
 

@@ -32,6 +32,7 @@ import json
 from pathlib import Path
 
 from ..errors import ExperimentError
+from ..fsio import atomic_write
 
 #: Bump when the on-disk layout of tables or manifest changes shape.
 #: v2: manifest gained ``shards``, ``cache`` and per-experiment
@@ -162,7 +163,8 @@ class ResultStore:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(cells)
-        path.write_text(buffer.getvalue())
+        with atomic_write(path) as out:
+            out.write(buffer.getvalue())
         return path
 
     def read_table(self, name: str, parse: bool = True) -> list[dict]:
@@ -203,9 +205,9 @@ class ResultStore:
         manifest; this keeps their headline numbers next to the table
         in the same deterministic serialisation the manifest uses.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / f"{name}.summary.json"
-        path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        with atomic_write(path) as out:
+            out.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return path
 
     # -- manifest -------------------------------------------------------
@@ -218,10 +220,8 @@ class ResultStore:
         """Persist the run manifest (sorted keys, trailing newline)."""
         payload = dict(manifest)
         payload["schema_version"] = STORE_SCHEMA_VERSION
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.manifest_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        with atomic_write(self.manifest_path) as out:
+            out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return self.manifest_path
 
     def read_manifest(self) -> dict:

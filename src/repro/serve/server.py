@@ -17,8 +17,9 @@ Both front ends speak the same NDJSON event stream over one
   ends the loop.  This is the deterministic harness the tests drive.
 
 Errors in either front end become ``{"event": "error", ...}``
-responses (HTTP status 400 for malformed requests, 500 for
-computation failures); the server survives them.
+responses (HTTP status 400 for malformed requests, 413 for a body
+over :data:`MAX_BODY_BYTES`, 500 for computation failures); the server
+survives them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from ..obs import names as obs_names
 from ..obs import trace as obs_trace
 from .jobs import JobManager
 from .protocol import json_default
+
+#: largest request body the HTTP front end reads; a request is a few
+#: hundred bytes of JSON, so anything near this is a broken client.
+MAX_BODY_BYTES = 1 << 20
 
 
 def _dumps(event: dict) -> bytes:
@@ -87,10 +92,23 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         if self.path not in ("/sweep", "/experiment", "/corpus", "/job"):
             self._respond_json(404, {"event": "error", "error": f"no route {self.path}"})
             return
+        # Validate the length before reading: a negative one would read
+        # to EOF (blocking on a client that keeps the socket open) and a
+        # huge one would be buffered whole.
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1  # unparsable: rejected like a negative length
+        if length < 0:
+            self._respond_json(400, {"event": "error", "error": "bad Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            error = f"body over {MAX_BODY_BYTES} bytes"
+            self._respond_json(413, {"event": "error", "error": error})
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError):
+        except ValueError:
             self._respond_json(400, {"event": "error", "error": "body must be JSON"})
             return
         if isinstance(payload, dict) and self.path != "/job":

@@ -125,8 +125,6 @@ class BatchedEngine:
             hook = (self, tuple(any_positions), tuple(push_positions))
             fifo._wake = hook
             self._wake_hooks.append((fifo, hook))
-        for comp in self.components:
-            comp.set_bulk(True)
         # Pushes staged before this run (e.g. the fetcher's initial
         # burst descriptor) must still commit at the end of the first
         # processed cycle.
@@ -144,8 +142,6 @@ class BatchedEngine:
             fifo._dirty_sink = sink
         self._saved.clear()
         self._wake_hooks.clear()
-        for comp in self.components:
-            comp.set_bulk(False)
         # Catch every component up to the global clock so its state —
         # pure time counters included — is exactly what the step engine
         # would hold at this cycle.
@@ -191,7 +187,6 @@ class BatchedEngine:
         sim = self.sim
         comps = self.components
         due = self.due
-        synced = self.synced
         horizon = sim.deadlock_horizon
         ops = sim._ops
         start = sim.cycle
@@ -224,62 +219,8 @@ class BatchedEngine:
                 raise BudgetExceededError(
                     max_cycles, [c.name for c in comps if c.busy]
                 )
-            cycle = sim.cycle
-            # Burst span: a single due component whose next cycles are a
-            # provably regular, FIFO-silent burst executes them as one
-            # bulk transfer instead of per-cycle ticks.  Sound because
-            # every other component sleeps through the span (their due
-            # times bound it) and the max_bulk contract forbids any
-            # externally observable effect inside it.
-            solo = -1
-            gap = FAR_FUTURE
-            for pos in range(n):
-                d = due[pos]
-                if d <= cycle:
-                    if solo >= 0:
-                        solo = -2
-                        break
-                    solo = pos
-                elif d < gap:
-                    gap = d
-            if solo >= 0:
-                limit = min(gap - cycle, budget_end - cycle,
-                            horizon - sim._idle_cycles - 1)
-                if limit > 1:
-                    comp = comps[solo]
-                    # Sync before asking: max_bulk measures the span
-                    # from comp.cycle, so catch up any lag first (a no-
-                    # op replay, same as _process would do; _process
-                    # sees lag 0 afterwards if the span is refused).
-                    lag = cycle - synced[solo]
-                    if lag > 0:
-                        comp.advance(lag)
-                        synced[solo] = cycle
-                        if self.profiler is not None:
-                            self.profiler.add(comp.name, "advance", lag)
-                    comp.cycle = cycle
-                    span = comp.max_bulk(limit)
-                    if span > 1:
-                        comp.bulk_tick(span)
-                        if self.profiler is not None:
-                            self.profiler.add(comp.name, "bulk", span)
-                        end = cycle + span
-                        comp.cycle = end
-                        synced[solo] = end
-                        nxt = comp.next_event()
-                        due[solo] = (
-                            FAR_FUTURE if nxt is None
-                            else (nxt if nxt > end else end)
-                        )
-                        sim.cycle = end
-                        # FIFO-silent by contract: replay the step
-                        # engine's idle count for `span` op-free cycles
-                        # (the limit clamp keeps it below the horizon).
-                        sim._idle_cycles += span
-                        fuse_streak = 0
-                        continue
             activity_before = ops[0]
-            ticked = self._process(cycle)
+            ticked = self._process(sim.cycle)
             sim.cycle += 1
             if ops[0] == activity_before:
                 sim._idle_cycles += 1

@@ -89,47 +89,10 @@ class Component:
 
         Telemetry: with the cycle profiler on
         (:func:`repro.obs.profiled`), replayed cycles are charged to
-        this component's ``advance`` bin, per-cycle ticks to ``tick``
-        and bulk spans to ``bulk`` — the three bins always sum to the
-        cycles the component elapsed, on either engine.
+        this component's ``advance`` bin and per-cycle ticks to
+        ``tick`` — the two bins always sum to the cycles the component
+        elapsed, on either engine.
         """
-
-    def set_bulk(self, enabled: bool) -> None:
-        """Toggle the component's bulk-transfer machinery.
-
-        The batched engine enables bulk mode on every component for the
-        duration of a run and disables it on detach.  Components with a
-        bulk fast path (e.g. the DRAM channel's incremental FR-FCFS
-        mirror) build their auxiliary state here; the step engine never
-        calls this, so the oracle always executes the plain per-cycle
-        code paths and differential tests genuinely compare the two.
-        Default: nothing to build.
-        """
-
-    def max_bulk(self, limit: int) -> int:
-        """Length of the provably regular burst starting at
-        ``self.cycle`` that :meth:`bulk_tick` may execute in one call,
-        capped at ``limit``; 0 or 1 means "tick me per cycle".
-
-        Contract: across the declared span, with every other component
-        frozen, this component's ticks must perform **no FIFO
-        operations** (no pushes, pops or commits — so no wakes, no op
-        counting, no occupancy changes) and must not change the value
-        of any externally read predicate (``busy``, ``done`` states).
-        Only internal state — bank timings, schedulers, pure counters —
-        may evolve.  The engine grants a span only while every other
-        component sleeps through it, so regular internal evolution is
-        unobservable and :meth:`bulk_tick` replacing the per-cycle
-        ticks is bit-exact by construction.
-        """
-        return 0
-
-    def bulk_tick(self, cycles: int) -> None:
-        """Execute ``cycles`` ticks' worth of internal evolution as one
-        bulk transfer (see :meth:`max_bulk`).  ``self.cycle`` holds the
-        first cycle of the span; the engine advances it past the span
-        afterwards."""
-        raise NotImplementedError
 
     def watches(self) -> list[Fifo]:
         """FIFOs owned by *other* components whose activity must wake

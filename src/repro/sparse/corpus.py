@@ -55,6 +55,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import CorpusError, ReproError
+from ..fsio import atomic_write
 from .csr import CsrMatrix
 from .mmio import read_matrix_market
 from .suite import PAPER_SUITE, SUITE_SEED, get_spec
@@ -347,8 +348,6 @@ def save_fastload(
     matrix: CsrMatrix, path: Path | str, source_digest: str = ""
 ) -> Path:
     """Write ``matrix`` as a checksummed fast-load ``.npz`` (atomic)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     shape = (matrix.nrows, matrix.ncols)
     meta = {
         "version": FASTLOAD_VERSION,
@@ -357,24 +356,15 @@ def save_fastload(
         "source_digest": source_digest,
         "digest": _arrays_digest(matrix.row_ptr, matrix.col_idx, matrix.val, shape),
     }
-    handle, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "wb") as tmp:
-            np.savez(
-                tmp,
-                row_ptr=matrix.row_ptr,
-                col_idx=matrix.col_idx,
-                val=matrix.val,
-                meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            )
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-    return path
+    with atomic_write(path, "wb") as out:
+        np.savez(
+            out,
+            row_ptr=matrix.row_ptr,
+            col_idx=matrix.col_idx,
+            val=matrix.val,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        )
+    return Path(path)
 
 
 def fastload_meta(path: Path | str) -> dict:

@@ -357,13 +357,13 @@ class TestCycleProfiler:
     def test_bins_api(self):
         bins = obs.CycleProfiler()
         bins.add("a", "tick", 3)
-        bins.add("a", "bulk", 2)
+        bins.add("a", "advance", 2)
         bins.add("b", "advance", 5)
         bins.add("b", "tick", 0)  # ignored
         bins.merge({"a": {"tick": 1}})
         assert bins.component_totals() == {"a": 6, "b": 5}
         assert bins.total() == 11
-        assert bins.as_rows() == [("a", 4, 0, 2, 6), ("b", 0, 5, 0, 5)]
+        assert bins.as_rows() == [("a", 4, 2, 6), ("b", 0, 5, 5)]
         drained = bins.drain()
         assert bins.total() == 0 and drained["b"]["advance"] == 5
 
@@ -377,7 +377,7 @@ class TestCycleProfiler:
         totals = cycles.component_totals()
         assert totals == {"worker": 100, "sleeper": 100}
         if engine == "step":
-            assert cycles.bins["sleeper"] == {"tick": 100, "advance": 0, "bulk": 0}
+            assert cycles.bins["sleeper"] == {"tick": 100, "advance": 0}
         else:
             # the batched engine replayed the quiet spans it skipped,
             # and the component's own accounting agrees with the bins
@@ -388,7 +388,7 @@ class TestCycleProfiler:
     @pytest.mark.parametrize("engine", ["step", "batched"])
     def test_bins_sum_to_elapsed_cycles(self, variant, stream, engine):
         """The exactness contract on the differential grid: for every
-        component, tick + advance + bulk equals the cycles the run
+        component, tick + advance equals the cycles the run
         elapsed — the engines may split the work differently (that is
         the attribution), but never lose or invent a cycle."""
         idx = _profile_streams(768)[stream]
@@ -396,12 +396,12 @@ class TestCycleProfiler:
             metrics = run_indirect_stream(
                 idx, PROFILE_VARIANTS[variant], engine=engine
             )
-        totals = cycles.component_totals()
-        assert totals  # the grid actually profiled something
-        assert set(totals.values()) == {metrics.cycles}
-        if engine == "step":
-            for actions in cycles.bins.values():
-                assert actions["advance"] == 0 and actions["bulk"] == 0
+        assert cycles.bins  # the grid actually profiled something
+        for actions in cycles.bins.values():
+            assert set(actions) == {"tick", "advance"}
+            assert actions["tick"] + actions["advance"] == metrics.cycles
+            if engine == "step":
+                assert actions["advance"] == 0
 
     def test_both_engines_profile_identical_components(self):
         idx = _profile_streams(768)["random"]

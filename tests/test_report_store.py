@@ -8,11 +8,14 @@ docs-drift job covers the full quick re-run.
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from repro import fsio
 from repro.errors import ExperimentError
+from repro.fsio import atomic_write
 from repro.report import (
     PAPER_CLAIMS,
     STORE_FORMATS,
@@ -119,6 +122,46 @@ class TestStoreRoundTrip:
         store.manifest_path.write_text(json.dumps(bad))
         with pytest.raises(ExperimentError):
             store.read_manifest()
+
+
+class TestAtomicWrite:
+    def test_write_that_raises_midway_keeps_old_file(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(target) as out:
+                out.write("half a ro")
+                raise RuntimeError("crash mid-write")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["t.csv"]  # no temp file left
+
+    def test_new_file_gets_plain_open_permissions(self, tmp_path):
+        with atomic_write(tmp_path / "new.json") as out:
+            out.write("{}\n")
+        (tmp_path / "plain.json").write_text("{}\n")
+        mode = (tmp_path / "new.json").stat().st_mode
+        assert mode == (tmp_path / "plain.json").stat().st_mode
+
+    @pytest.mark.parametrize("write", ["table", "summary", "manifest"])
+    def test_store_writes_survive_a_crash(self, tmp_path, monkeypatch, write):
+        store = ResultStore(tmp_path)
+        writers = {
+            "table": lambda: store.write_table("t", TestStoreRoundTrip.ROWS),
+            "summary": lambda: store.write_summary("t", {"gbps": 3.4}),
+            "manifest": lambda: store.write_manifest({"scale_nnz": 12000}),
+        }
+        path = writers[write]()
+        before = path.read_bytes()
+        files = sorted(os.listdir(tmp_path))
+
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(fsio.os, "replace", crash)
+        with pytest.raises(OSError):
+            writers[write]()
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == files
 
 
 @pytest.mark.skipif(

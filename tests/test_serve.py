@@ -32,6 +32,7 @@ from repro.serve import (
     canonicalize,
     serve_stdio,
 )
+from repro.serve.server import MAX_BODY_BYTES
 from repro.sparse.suite import DEFAULT_MAX_NNZ
 
 TINY = 12_000
@@ -434,6 +435,27 @@ class TestHttpFrontEnd:
             self._post(server, "/nope", {})
         assert missing.value.code == 404
         assert self._get(server, "/stats")["jobs"]["errors"] >= 1
+
+    def _post_length(self, server, length: str) -> int:
+        """POST with a declared Content-Length and no body: the server
+        must answer from the header alone, without reading (a timeout
+        here means it blocked on the socket)."""
+        port = server.server_address[1]
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/sweep",
+            method="POST",
+            headers={"Content-Length": length},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        return err.value.code
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_400(self, server, length):
+        assert self._post_length(server, length) == 400
+
+    def test_oversized_body_is_413(self, server):
+        assert self._post_length(server, str(MAX_BODY_BYTES + 1)) == 413
 
 
 class TestServeClient:

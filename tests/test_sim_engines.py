@@ -212,14 +212,15 @@ def test_raw_dram_adversarial_bit_exact(stream, depth):
     assert step == batched
 
 
-# -- saturated pipelines (bulk fast-forward coverage) --------------------
+# -- saturated pipelines --------------------------------------------------
 #
 # At 4x quick scale the adapter keeps the DRAM request queue standing
-# full, so the batched engine's bulk path (DramChannel.max_bulk /
-# bulk_tick over the incremental FR-FCFS mirror) engages on most spans.
-# These cells would pass trivially if bulk mode never fired; their value
-# is that they compare the bulk machinery — not just the skip logic —
-# against the per-cycle oracle, stats-for-stats and counter-for-counter.
+# full, so the channel acts on most cycles and the batched engine keeps
+# switching between due-ticking, the fused loop and short quiet jumps.
+# These cells compare DramChannel.next_event / _service_due under a
+# standing queue — including the _acts_seen re-tick rule straight after
+# every grant or activate — against the per-cycle oracle, stats-for-
+# stats and counter-for-counter.
 
 
 @pytest.mark.parametrize("stream", ["banded", "dense", "random"])
@@ -242,13 +243,14 @@ def test_saturated_scatter_bit_exact():
 
 # -- burst-boundary adversaries ------------------------------------------
 #
-# Depths straddling the DRAM queue depth (32) steer max_bulk through
-# each of its guard paths in turn: below depth the request FIFO stays
-# poppable (span refused), at depth the queue stands full (ingest-capped
-# span), above depth the driver saturates the FIFO (grant-delivery cap
-# bounds the span).  Sequential blocks put a grant every t_burst cycles
-# so span edges coincide with grants; the bank stripe holds one open row
-# per bank, maximizing cross-bank hit scheduling inside bulk_tick.
+# Depths straddling the DRAM queue depth (32) exercise each branch of
+# DramChannel.next_event in turn: below depth the request FIFO stays
+# poppable (ingest early-out), at depth the queue stands full (service
+# bound only), above depth the driver waits on the full request FIFO
+# (the first grant frees a slot and the next tick ingests).  Sequential
+# blocks put a grant every t_burst cycles, so due times land right on
+# grants; the bank stripe holds one open row per bank, maximizing
+# cross-bank hit scheduling between _service_due lower bounds.
 
 
 def _boundary_streams(n: int) -> dict[str, np.ndarray]:
@@ -266,69 +268,6 @@ def test_raw_dram_burst_boundary_bit_exact(stream, depth):
     step = _run_raw_dram("step", blocks, depth)
     batched = _run_raw_dram("batched", blocks, depth)
     assert step == batched
-
-
-# -- coalescer bulk-span contract ----------------------------------------
-
-
-def _ticked(component, cycles: int) -> None:
-    for _ in range(cycles):
-        component.tick()
-        component.commit()
-
-
-@pytest.mark.parametrize("kind", ["read", "write"])
-def test_coalescer_max_bulk_regulator_span(kind):
-    """With a partial upsizer window queued and all inputs frozen, the
-    coalescers must declare exactly the span up to (excluding) the
-    regulator timeout boundary, and bulk_tick over it must replay the
-    per-cycle ticks counter-for-counter with zero FIFO operations."""
-    import copy
-
-    from repro.axipack.burst import NarrowRequest
-    from repro.axipack.coalescer import RequestCoalescer
-    from repro.axipack.scatter import WriteCoalescer
-    from repro.sim.fifo import Fifo
-
-    config = mlp_config(8)
-    dram_cfg = DramConfig()
-    if kind == "read":
-        coal = RequestCoalescer(config, dram_cfg, Fifo(8, "er"), Fifo(8, "es"))
-    else:
-        coal = WriteCoalescer(
-            config, dram_cfg, np.zeros(64), Fifo(8, "wr"), Fifo(8, "ws")
-        )
-    for seq in range(3):  # partial window: 3 of W=8 queues filled
-        coal.accept(NarrowRequest(seq=seq, lane=seq, addr=seq * 8))
-    coal.commit()
-    _ticked(coal, 2)  # let the regulator start aging
-
-    timeout = config.coalescer.regulator_timeout
-    span = coal.max_bulk(1 << 30)
-    assert span == timeout - coal._regulator_wait
-    assert coal.max_bulk(3) == 3  # limit-capped
-
-    oracle = copy.deepcopy(coal)
-    ops_before = [
-        (f.total_pushed, f.total_popped, f.max_occupancy) for f in coal.fifos
-    ]
-    coal.bulk_tick(span)
-    _ticked(oracle, span)
-    assert coal._regulator_wait == oracle._regulator_wait == timeout
-    assert coal._watchdog_wait == oracle._watchdog_wait
-    for fifo, oracle_fifo, before in zip(coal.fifos, oracle.fifos, ops_before):
-        counters = (fifo.total_pushed, fifo.total_popped, fifo.max_occupancy)
-        assert counters == before  # FIFO-silent span
-        assert counters == (
-            oracle_fifo.total_pushed,
-            oracle_fifo.total_popped,
-            oracle_fifo.max_occupancy,
-        )
-    # The very next per-cycle tick crosses the boundary and acts: the
-    # regulator pops the partial window (a FIFO operation).
-    _ticked(oracle, 1)
-    assert oracle._window is not None
-    assert any(f.total_popped for f in oracle.fifos)
 
 
 # -- hypothesis-generated streams ---------------------------------------
@@ -361,10 +300,10 @@ def test_hypothesis_streams_bit_exact(idx, variant):
 
 @st.composite
 def dram_block_streams(draw):
-    """Raw-DRAM adversaries for the bulk fast path: few-bank traffic so
-    refresh, row close (64 idle cycles) and act spacing (t_rc) land on
-    arbitrary offsets inside candidate bulk spans, with in-flight depths
-    clustered around the queue-depth boundary."""
+    """Raw-DRAM adversaries for the channel's due-time bounds: few-bank
+    traffic so refresh, row close (64 idle cycles) and act spacing
+    (t_rc) land on arbitrary offsets between service due points, with
+    in-flight depths clustered around the queue-depth boundary."""
     cfg = DramConfig()
     bank_stride = cfg.num_banks * cfg.blocks_per_row
     n = draw(st.integers(min_value=1, max_value=120))

@@ -15,8 +15,8 @@ Three sections:
   clock, so worker spans shipped across processes land on the same
   timeline).  ``--min-coverage P`` exits 1 below P percent — the CI
   gate that keeps the instrumentation honest;
-* **cycle attribution** — the profiler's per-component tick/advance/
-  bulk bins from the trace's final ``profile`` event, when present.
+* **cycle attribution** — the profiler's per-component tick/advance
+  bins from the trace's final ``profile`` event, when present.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ def render(path: Path, min_coverage: float | None) -> int:
                 "component": component,
                 "tick": actions.get("tick", 0),
                 "advance": actions.get("advance", 0),
-                "bulk": actions.get("bulk", 0),
                 "total": sum(actions.values()),
             }
             for component, actions in bins.items()
@@ -188,7 +187,6 @@ def render(path: Path, min_coverage: float | None) -> int:
                 ("component", "s"),
                 ("tick", "s"),
                 ("advance", "s"),
-                ("bulk", "s"),
                 ("total", "s"),
             ],
         )
