@@ -20,7 +20,10 @@ Provenance differs between the two:
   walk of the bank-state timeline contract that
   :func:`repro.mem.timeline.service_timeline` vectorises — dicts and
   Python loops, nothing shared with the segmented-reduction
-  implementation.
+  implementation;
+* :func:`sell_from_csr_reference` is the verbatim seed per-row loop of
+  :meth:`repro.sparse.sell.SellMatrix.from_csr`, which now builds the
+  SELL arrays with whole-array gathers and scatters.
 
 Do not call these from sweep code — they are orders of magnitude slower
 than the vectorized versions and exist only to pin their semantics.
@@ -31,6 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import DramConfig
+from ..sparse.csr import CsrMatrix
+from ..sparse.sell import SellMatrix
 
 
 def coalesce_window_reference(
@@ -185,4 +190,50 @@ def service_timeline_reference(
         refreshes=int(refreshes),
         bank_busy=bank_busy,
         queue_windows=windows,
+    )
+
+
+def sell_from_csr_reference(csr: CsrMatrix, chunk: int = 32) -> SellMatrix:
+    """Oracle for :meth:`repro.sparse.sell.SellMatrix.from_csr`.
+
+    Fills the SELL arrays slice by slice and row by row: true entries
+    at stride ``chunk`` from the row's slot, then padding that repeats
+    the row's last valid index (column 0 for empty and out-of-range
+    rows) with value 0.
+    """
+    nrows, ncols = csr.shape
+    nslices = -(-nrows // chunk)
+    row_lengths = csr.row_lengths()
+
+    slice_widths = np.zeros(nslices, dtype=np.int64)
+    for s in range(nslices):
+        lo, hi = s * chunk, min((s + 1) * chunk, nrows)
+        slice_widths[s] = row_lengths[lo:hi].max() if hi > lo else 0
+
+    slice_ptr = np.zeros(nslices + 1, dtype=np.int64)
+    np.cumsum(slice_widths * chunk, out=slice_ptr[1:])
+
+    col_idx = np.zeros(slice_ptr[-1], dtype=SellMatrix.INDEX_DTYPE)
+    val = np.zeros(slice_ptr[-1], dtype=SellMatrix.VALUE_DTYPE)
+
+    for s in range(nslices):
+        width = slice_widths[s]
+        if width == 0:
+            continue
+        base = slice_ptr[s]
+        for r_local in range(chunk):
+            row = s * chunk + r_local
+            # Destination stride: column-of-slice major layout.
+            dst = base + r_local + np.arange(width) * chunk
+            if row >= nrows or row_lengths[row] == 0:
+                col_idx[dst] = 0
+                continue
+            lo, hi = csr.row_ptr[row], csr.row_ptr[row + 1]
+            length = hi - lo
+            col_idx[dst[:length]] = csr.col_idx[lo:hi]
+            val[dst[:length]] = csr.val[lo:hi]
+            # Pad by repeating the last valid index with value 0.
+            col_idx[dst[length:]] = csr.col_idx[hi - 1]
+    return SellMatrix(
+        nrows, ncols, chunk, slice_ptr, slice_widths, col_idx, val, csr.nnz
     )

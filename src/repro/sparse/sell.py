@@ -85,39 +85,46 @@ class SellMatrix:
 
     @classmethod
     def from_csr(cls, csr: CsrMatrix, chunk: int = 32) -> "SellMatrix":
+        """Build SELL-C from CSR with whole-array operations.
+
+        Bit-exact against the per-row loop kept as
+        :func:`repro.axipack.reference.sell_from_csr_reference`.
+        """
         nrows, ncols = csr.shape
         nslices = -(-nrows // chunk)
         row_lengths = csr.row_lengths()
 
-        slice_widths = np.zeros(nslices, dtype=np.int64)
-        for s in range(nslices):
-            lo, hi = s * chunk, min((s + 1) * chunk, nrows)
-            slice_widths[s] = row_lengths[lo:hi].max() if hi > lo else 0
+        # Rows past nrows in the last slice count as empty.
+        padded_lengths = np.zeros(nslices * chunk, dtype=np.int64)
+        padded_lengths[:nrows] = row_lengths
+        slice_widths = padded_lengths.reshape(nslices, chunk).max(axis=1)
 
         slice_ptr = np.zeros(nslices + 1, dtype=np.int64)
         np.cumsum(slice_widths * chunk, out=slice_ptr[1:])
 
-        col_idx = np.zeros(slice_ptr[-1], dtype=cls.INDEX_DTYPE)
+        # Padding: every slot first holds its row's last valid index
+        # (column 0 for empty and out-of-range rows).  Each slice is
+        # ``width`` lines of ``chunk`` slots, one slot per row, so the
+        # fill is a gather of the slice's per-row values, line by line.
+        last = np.zeros(nslices * chunk, dtype=cls.INDEX_DTYPE)
+        nonempty = np.flatnonzero(row_lengths)
+        last[nonempty] = csr.col_idx[csr.row_ptr[nonempty + 1] - 1]
+        line_slice = np.repeat(np.arange(nslices), slice_widths)
+        col_idx = last.reshape(nslices, chunk)[line_slice].reshape(-1)
         val = np.zeros(slice_ptr[-1], dtype=cls.VALUE_DTYPE)
 
-        for s in range(nslices):
-            width = slice_widths[s]
-            if width == 0:
-                continue
-            base = slice_ptr[s]
-            for r_local in range(chunk):
-                row = s * chunk + r_local
-                # Destination stride: column-of-slice major layout.
-                dst = base + r_local + np.arange(width) * chunk
-                if row >= nrows or row_lengths[row] == 0:
-                    col_idx[dst] = 0
-                    continue
-                lo, hi = csr.row_ptr[row], csr.row_ptr[row + 1]
-                length = hi - lo
-                col_idx[dst[:length]] = csr.col_idx[lo:hi]
-                val[dst[:length]] = csr.val[lo:hi]
-                # Pad by repeating the last valid index with value 0.
-                col_idx[dst[length:]] = csr.col_idx[hi - 1]
+        # True entries: entry ``pos`` of row ``row`` goes to
+        # slice_ptr[row // chunk] + row % chunk + pos * chunk; with
+        # pos = k - row_ptr[row] for stored entry k, the per-row part
+        # folds into one base per row.
+        rows = np.arange(nrows, dtype=np.int64)
+        row_base = (
+            slice_ptr[rows // chunk] + rows % chunk - csr.row_ptr[:-1] * chunk
+        )
+        dst = np.repeat(row_base, row_lengths)
+        dst += np.arange(csr.nnz, dtype=np.int64) * chunk
+        col_idx[dst] = csr.col_idx
+        val[dst] = csr.val
         return cls(
             nrows, ncols, chunk, slice_ptr, slice_widths, col_idx, val, csr.nnz
         )

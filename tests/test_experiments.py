@@ -23,7 +23,7 @@ from repro.experiments.common import (
     geomean,
     scale_from_env,
 )
-from repro.experiments.report import PAPER_CLAIMS, paper_comparison
+from repro.report.claims import PAPER_CLAIMS, paper_comparison
 
 TINY = 12_000
 THREE = ("pwtk", "G3_circuit", "msc01440")
