@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import AdapterConfig, DramConfig
-from ..mem.timeline import TimelineResult, service_timeline
+from ..mem.timeline import service_timeline
 from ..units import ceil_div
 from .metrics import AdapterMetrics
 
@@ -246,23 +246,6 @@ def coalesce_window_exact(
     return resolve_window_carry(cand, cand_win, num_win)
 
 
-def estimate_dram_cycles(
-    blocks: np.ndarray, dram: DramConfig
-) -> tuple[int, dict[str, int]]:
-    """Service cycles for a wide-transaction stream.
-
-    Thin compatibility wrapper over the bank-state timeline
-    (:func:`repro.mem.timeline.service_timeline`), which replaced the
-    analytic ``max(bus, t_rc * activates)`` bound here: the returned
-    stats keep the legacy two-counter shape (``row_changes`` /
-    ``activates``).  Callers that want the full row-hit/occupancy
-    breakdown should call the timeline directly; the legacy bound
-    itself survives as :func:`repro.mem.timeline.analytic_dram_bound`.
-    """
-    result = service_timeline(blocks, dram)
-    return result.cycles, result.legacy_stats
-
-
 def _interleave_streams(elem_blocks: np.ndarray, idx_blocks: np.ndarray) -> np.ndarray:
     """Approximate the temporal interleaving of element and index
     transactions (both progress proportionally through the stream)."""
@@ -273,7 +256,8 @@ def _interleave_streams(elem_blocks: np.ndarray, idx_blocks: np.ndarray) -> np.n
     # Positions of index transactions spread evenly through the run.
     if len(idx_blocks):
         idx_pos = np.linspace(0, total - 1, num=len(idx_blocks)).astype(np.int64)
-        idx_pos = np.unique(idx_pos)
+        # Non-decreasing already: dropping adjacent repeats == np.unique.
+        idx_pos = idx_pos[np.r_[True, idx_pos[1:] != idx_pos[:-1]]]
         while len(idx_pos) < len(idx_blocks):  # collisions at tiny sizes
             extra = np.setdiff1d(np.arange(total), idx_pos)[: len(idx_blocks) - len(idx_pos)]
             idx_pos = np.sort(np.concatenate([idx_pos, extra]))

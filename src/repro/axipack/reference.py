@@ -6,24 +6,26 @@ differential-test oracles: the vectorized implementations in
 (wide-access counts, warp-tag issue order, cycle estimates) on
 arbitrary streams.
 
-Provenance differs between the two:
+Provenance differs between them:
 
 * :func:`coalesce_window_reference` is the verbatim seed
   implementation of ``coalesce_window_exact`` — the battle-tested
   original the vectorized rewrite replaced;
 * :func:`estimate_dram_cycles_reference` is an *independent
   re-derivation* of the legacy two-term analytic DRAM bound
-  (:func:`repro.mem.timeline.analytic_dram_bound`, formerly
-  ``fastmodel.estimate_dram_cycles``) as a one-pass open-row loop —
-  a cross-check of the walk's semantics, not its historical form;
+  (:func:`repro.mem.timeline.analytic_dram_bound`) as a one-pass
+  open-row loop — a cross-check of the walk's semantics, not its
+  historical form;
 * :func:`service_timeline_reference` is the naive per-queue-window
   walk of the bank-state timeline contract that
   :func:`repro.mem.timeline.service_timeline` vectorises — dicts and
-  Python loops, nothing shared with the segmented-reduction
-  implementation;
+  Python loops, nothing shared with the dense-table implementation;
 * :func:`sell_from_csr_reference` is the verbatim seed per-row loop of
   :meth:`repro.sparse.sell.SellMatrix.from_csr`, which now builds the
-  SELL arrays with whole-array gathers and scatters.
+  SELL arrays with whole-array gathers and scatters;
+* :class:`LruReference` is the verbatim seed per-access LRU walk of
+  :class:`repro.vpc.llc.LruCache`, which now replays a whole line
+  trace in one batched pass.
 
 Do not call these from sweep code — they are orders of magnitude slower
 than the vectorized versions and exist only to pin their semantics.
@@ -79,8 +81,8 @@ def estimate_dram_cycles_reference(
     blocks: np.ndarray, dram: DramConfig
 ) -> tuple[int, dict[str, int]]:
     """Oracle for :func:`repro.mem.timeline.analytic_dram_bound` (the
-    legacy two-term bound that ``fastmodel.estimate_dram_cycles``
-    computed before the bank-state timeline replaced it).
+    legacy two-term bound the fast models priced DRAM with before the
+    bank-state timeline replaced it).
 
     Walks the transaction stream once, tracking the open row per bank;
     the per-bank sequences it sees are identical to the vectorized
@@ -237,3 +239,34 @@ def sell_from_csr_reference(csr: CsrMatrix, chunk: int = 32) -> SellMatrix:
     return SellMatrix(
         nrows, ncols, chunk, slice_ptr, slice_widths, col_idx, val, csr.nnz
     )
+
+
+class LruReference:
+    """Oracle for :meth:`repro.vpc.llc.LruCache.replay`.
+
+    The seed per-access LRU walk: one list per set, least recently used
+    at the front, counters bumped on every access.
+    """
+
+    def __init__(self, num_sets: int, ways: int, line_bytes: int = 64) -> None:
+        self.sets: list[list[int]] = [[] for _ in range(num_sets)]
+        self.ways = ways
+        self.line_bytes = line_bytes
+        self.hits = self.misses = self.evictions = 0
+
+    def access(self, addr: int) -> bool:
+        line = addr // self.line_bytes
+        ways = self.sets[line & (len(self.sets) - 1)]
+        try:
+            ways.remove(line)
+            ways.append(line)
+            self.hits += 1
+            return True
+        except ValueError:
+            ways.append(line)
+            if len(ways) > self.ways:
+                ways.pop(0)
+                self.evictions += 1
+            self.misses += 1
+            return False
+

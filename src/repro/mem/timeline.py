@@ -29,10 +29,12 @@ reference).  Within one queue window the scheduler is FR-FCFS:
 The open-adaptive page policy is modelled as *most-recent-arrival*: the
 row a bank leaves open after a window is the row of its newest request
 in that window.  Because the carried row therefore never depends on the
-scheduler's choices, every queue window can be priced independently and
-the whole replay vectorises into a handful of sorts and segmented
-reductions — the same discipline :func:`repro.axipack.fastmodel.
-coalesce_window_exact` uses.
+scheduler's choices, every queue window can be priced independently.
+Windows are fixed slices of the stream, so the replay needs no global
+sort: every per-(window, bank) quantity — group size, the row left
+open, the row carried in, first-ready hits, distinct rows — is a dense
+``windows x num_banks`` table filled by bincounts, a forward fill over
+windows, and one sort of each window's page ids along short rows.
 
 The service time of one queue window is the slower of the data bus
 (``t_burst`` per transaction) and the busiest bank
@@ -127,13 +129,6 @@ class TimelineResult:
             "queue_windows": self.queue_windows,
         }
 
-    @property
-    def legacy_stats(self) -> dict[str, int]:
-        """The two counters the old analytic bound reported:
-        ``row_changes`` (an activate over a previously open row) and
-        ``activates``."""
-        return {"row_changes": self.row_conflicts, "activates": self.activates}
-
 
 def _empty_result(dram: DramConfig) -> TimelineResult:
     return TimelineResult(
@@ -160,7 +155,7 @@ def service_timeline(
     ``queue_depth`` overrides ``dram.queue_depth``; the replay's
     reorder horizon is ``2 * queue_depth`` (see the module docstring).
 
-    Fully vectorized — sorts and segmented reductions only; bit-exact
+    Fully vectorized over dense (queue window, bank) tables; bit-exact
     against :func:`repro.axipack.reference.service_timeline_reference`
     (enforced by the property-based differential suite).
     """
@@ -176,68 +171,64 @@ def service_timeline(
     num_banks = dram.num_banks
     banks = blocks % num_banks
     rows = blocks // (num_banks * dram.blocks_per_row)
-    window = np.arange(n, dtype=np.int64) // horizon
-    num_windows = int(window[-1]) + 1
+    num_windows = (n - 1) // horizon + 1
+    position = np.arange(n, dtype=np.int64)
 
-    # Row of each request's previous same-bank request (stream order),
-    # with a below-every-row sentinel where the bank is untouched so
-    # far (rows can be negative, so -1 is not safe).  The stable
-    # by-bank sort keeps stream order inside each bank's run.
-    no_row = int(rows.min()) - 1
-    by_bank = np.argsort(banks, kind="stable")
-    prev_row = np.full(n, no_row, dtype=np.int64)
-    same_bank = banks[by_bank][1:] == banks[by_bank][:-1]
-    prev_row[by_bank[1:][same_bank]] = rows[by_bank][:-1][same_bank]
+    # Dense (queue window, bank) tables, flattened window-major: a
+    # window is a fixed slice of the stream, so a group's table slot is
+    # known without sorting.
+    key = position // horizon * num_banks + banks
+    table = (num_windows, num_banks)
+    window_id = np.arange(num_windows)[:, None]
+    size = np.bincount(key, minlength=num_windows * num_banks)
 
-    # (queue window, bank) groups, window-major; stream order inside a
-    # group is preserved by the stable sort.
-    key = window * num_banks + banks
-    by_group = np.argsort(key, kind="stable")
-    key_sorted = key[by_group]
-    rows_grouped = rows[by_group]
-    starts = np.flatnonzero(np.r_[True, key_sorted[1:] != key_sorted[:-1]])
-    group_key = key_sorted[starts]
-    group_bank = group_key % num_banks
-    group_window = group_key // num_banks
-    group_size = np.diff(np.r_[starts, n])
+    # Row each group leaves open: that of its newest request.
+    newest = np.zeros(size.size, dtype=np.int64)
+    np.maximum.at(newest, key, position)
+    left_open = rows[newest].reshape(table)
 
-    # Carried open row entering each group = the previous same-bank
-    # row of the group's first (oldest) request — necessarily from an
-    # earlier queue window, since a group holds all of its bank's
-    # requests of one window.
-    carry_in = prev_row[by_group[starts]]
+    # Carried open row entering each group: the row left by the last
+    # earlier window that touched the bank (cold where none did).
+    last_touch = np.maximum.accumulate(
+        np.where(size.reshape(table) > 0, window_id, -1), axis=0
+    )
+    carry_from = np.vstack([np.full(num_banks, -1), last_touch[:-1]])
+    carry_row = left_open[carry_from, np.arange(num_banks)].ravel()
+    warm = carry_from.ravel() >= 0
 
     # First-ready hit: the carried row appears anywhere in the group
     # (FR-FCFS serves those requests before any precharge).
-    carry_hit = np.bitwise_or.reduceat(
-        rows_grouped == np.repeat(carry_in, group_size), starts
-    )
+    hit = warm[key] & (rows == carry_row[key])
+    carry_hit = np.bincount(key[hit], minlength=size.size) > 0
 
-    # Distinct rows per group via a second, by-row sort; group order
-    # (ascending key) matches the by-group sort above.
-    by_row = np.lexsort((rows, key))
-    new_group = np.r_[True, key[by_row][1:] != key[by_row][:-1]]
-    new_row = new_group | np.r_[True, rows[by_row][1:] != rows[by_row][:-1]]
-    distinct_rows = np.add.reduceat(new_row.astype(np.int64), np.flatnonzero(new_group))
+    # Distinct rows per group: sort each window's page ids (row and
+    # bank in one id) along short rows; the ragged last window is
+    # padded with a copy of its last page, which adds no distinct page.
+    page = rows * num_banks + banks
+    padded = np.empty(num_windows * horizon, dtype=np.int64)
+    padded[:n] = page
+    padded[n:] = page[-1]
+    pages = np.sort(padded.reshape(num_windows, horizon), axis=1)
+    first = np.ones(pages.shape, dtype=bool)
+    first[:, 1:] = pages[:, 1:] != pages[:, :-1]
+    page_key = window_id * num_banks + pages % num_banks
+    distinct_rows = np.bincount(page_key[first], minlength=size.size)
 
-    activates = distinct_rows - carry_hit.astype(np.int64)
-    bank_time = np.maximum(group_size * dram.t_burst, activates * dram.t_rc)
+    activates = distinct_rows - carry_hit
+    bank_time = np.maximum(size * dram.t_burst, activates * dram.t_rc).reshape(table)
 
     # One queue window's service time: data bus vs its busiest bank.
-    window_starts = np.flatnonzero(np.r_[True, group_window[1:] != group_window[:-1]])
-    bank_max = np.maximum.reduceat(bank_time, window_starts)
-    bus = np.bincount(window, minlength=num_windows) * dram.t_burst
-    cycles = int(np.maximum(bus, bank_max).sum())
+    bus = np.full(num_windows, horizon * dram.t_burst, dtype=np.int64)
+    bus[-1] = (n - (num_windows - 1) * horizon) * dram.t_burst
+    cycles = int(np.maximum(bus, bank_time.max(axis=1)).sum())
 
     refreshes = 0
     if dram.t_refi > 0:
         refreshes = cycles // dram.t_refi
         cycles += refreshes * dram.t_rfc
 
-    bank_busy = np.zeros(num_banks, dtype=np.int64)
-    np.add.at(bank_busy, group_bank, bank_time)
     total_activates = int(activates.sum())
-    cold = int(np.count_nonzero(carry_in == no_row))
+    cold = int(np.count_nonzero(last_touch[-1] >= 0))
     return TimelineResult(
         cycles=cycles,
         activates=total_activates,
@@ -245,7 +236,7 @@ def service_timeline(
         row_conflicts=total_activates - cold,
         cold_activates=cold,
         refreshes=int(refreshes),
-        bank_busy=bank_busy,
+        bank_busy=bank_time.sum(axis=0),
         queue_windows=num_windows,
     )
 

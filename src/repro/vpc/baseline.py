@@ -7,9 +7,10 @@ retire.  Streams (``val``, ``col_idx``, ``row_ptr``) pass through the
 LLC where they evict vector lines — the cache-pollution effect the
 paper's Sec. I calls out.
 
-The LLC interaction is simulated access-by-access on the interleaved
-stream/gather trace; timing converts hit/miss counts into cycles with
-a limited-MLP miss overlap model.
+The LLC interaction is replayed access-by-access on the interleaved
+stream/gather trace (built whole-array, then one LRU pass); timing
+converts hit/miss counts into cycles with a limited-MLP miss overlap
+model.
 
 One fidelity note (see DESIGN.md): when suite matrices are scaled down
 for Python runtime, the LLC is scaled by the same factor so that the
@@ -133,19 +134,24 @@ class BaselineSystem:
         idx_per_line = line // 4
         val_per_line = line // 8
         # Distinct address regions (line ids offset far apart).
-        vec_region = 0
-        idx_region = 1 << 40
-        val_region = 1 << 41
+        idx_region = (1 << 40) // line
+        val_region = (1 << 41) // line
 
-        vec_lines = (matrix.col_idx.astype(np.int64) * 8) // line
-        hits = misses = 0
-        for j in range(matrix.nnz):
-            if j % idx_per_line == 0:
-                llc.access(idx_region + (j // idx_per_line) * line)
-            if j % val_per_line == 0:
-                llc.access(val_region + (j // val_per_line) * line)
-            if llc.access(vec_region + int(vec_lines[j]) * line):
-                hits += 1
-            else:
-                misses += 1
-        return hits, misses
+        # One (idx, val, vector) line triple per entry, in access
+        # order; the stream lines are present only at their cadence.
+        j = np.arange(matrix.nnz, dtype=np.int64)
+        trace = np.stack(
+            [
+                idx_region + j // idx_per_line,
+                val_region + j // val_per_line,
+                (matrix.col_idx.astype(np.int64) * 8) // line,
+            ],
+            axis=1,
+        )
+        present = np.ones(trace.shape, dtype=bool)
+        present[:, 0] = j % idx_per_line == 0
+        present[:, 1] = j % val_per_line == 0
+        hit = np.zeros(trace.shape, dtype=bool)
+        hit[present] = llc.replay(trace[present])
+        hits = int(np.count_nonzero(hit[:, 2]))
+        return hits, matrix.nnz - hits

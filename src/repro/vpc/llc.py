@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..config import BaselineConfig
 from ..errors import ConfigError
 from ..sim.stats import StatSet
@@ -32,32 +34,47 @@ class LruCache:
         return cls(config.llc_bytes, config.llc_ways, config.line_bytes)
 
     def access(self, addr: int) -> bool:
-        """Touch one address; returns True on hit.  LRU update on hit,
-        LRU eviction on miss."""
-        line = addr // self.line_bytes
-        ways = self._sets[line & (self.num_sets - 1)]
-        try:
-            ways.remove(line)
-            ways.append(line)
-            self.stats.add("hits")
-            return True
-        except ValueError:
-            ways.append(line)
-            if len(ways) > self.ways:
-                ways.pop(0)
-                self.stats.add("evictions")
-            self.stats.add("misses")
-            return False
+        """Touch one address; returns True on hit."""
+        return bool(self.replay([addr // self.line_bytes])[0])
 
-    def access_block_stream(self, lines: list[int] | "object") -> tuple[int, int]:
+    def access_block_stream(self, lines: list[int] | np.ndarray) -> tuple[int, int]:
         """Touch a sequence of line ids; returns (hits, misses)."""
-        hits = misses = 0
-        for line_id in lines:
-            if self.access(int(line_id) * self.line_bytes):
-                hits += 1
+        hit = self.replay(lines)
+        hits = int(np.count_nonzero(hit))
+        return hits, hit.size - hits
+
+    def replay(self, lines: list[int] | np.ndarray) -> np.ndarray:
+        """Touch a sequence of line ids in order; returns the hit mask.
+        LRU update on hit, LRU eviction on miss; ``stats`` are updated
+        once at the end."""
+        sets = self._sets
+        set_mask = self.num_sets - 1
+        capacity = self.ways
+        hit = []
+        record = hit.append
+        evictions = 0
+        for line in np.asarray(lines, dtype=np.int64).tolist():
+            ways = sets[line & set_mask]
+            if line in ways:
+                ways.remove(line)
+                ways.append(line)
+                record(True)
             else:
-                misses += 1
-        return hits, misses
+                ways.append(line)
+                if len(ways) > capacity:
+                    del ways[0]
+                    evictions += 1
+                record(False)
+        mask = np.array(hit, dtype=bool)
+        hits = int(np.count_nonzero(mask))
+        for key, amount in (
+            ("hits", hits),
+            ("misses", mask.size - hits),
+            ("evictions", evictions),
+        ):
+            if amount:
+                self.stats.add(key, amount)
+        return mask
 
     @property
     def hit_rate(self) -> float:

@@ -5,10 +5,10 @@ import pytest
 
 from repro.axipack.fastmodel import (
     coalesce_window_exact,
-    estimate_dram_cycles,
     fast_indirect_stream,
 )
 from repro.config import DramConfig, mlp_config, nocoalescer_config, seq_config
+from repro.mem.timeline import service_timeline
 
 from helpers import banded_stream, random_stream
 
@@ -62,19 +62,17 @@ class TestDramEstimate:
     def test_sequential_is_bus_bound(self):
         dram = DramConfig()
         blocks = np.arange(1000, dtype=np.int64)
-        cycles, stats = estimate_dram_cycles(blocks, dram)
-        assert cycles == 1000 * dram.t_burst
+        assert service_timeline(blocks, dram).cycles == 1000 * dram.t_burst
 
     def test_single_bank_hammer_is_trc_bound(self):
         dram = DramConfig()
         stride = dram.num_banks * dram.blocks_per_row  # same bank, new row
         blocks = np.arange(64, dtype=np.int64) * stride
-        cycles, stats = estimate_dram_cycles(blocks, dram)
-        assert cycles == 64 * dram.t_rc
+        assert service_timeline(blocks, dram).cycles == 64 * dram.t_rc
 
     def test_empty(self):
-        cycles, _ = estimate_dram_cycles(np.empty(0, dtype=np.int64), DramConfig())
-        assert cycles == 0
+        empty = np.empty(0, dtype=np.int64)
+        assert service_timeline(empty, DramConfig()).cycles == 0
 
 
 class TestFastMetrics:

@@ -32,10 +32,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.axipack.fastmodel import (
+    _interleave_streams,
     analyze_stream,
     block_sort_order,
     coalesce_window_exact,
-    estimate_dram_cycles,
 )
 from repro.axipack.reference import (
     coalesce_window_reference,
@@ -208,19 +208,89 @@ class TestTimelineDifferential:
             assert result.bank_busy.max() <= result.cycles
             assert (result.occupancy() <= 1.0).all()
 
-    @given(blocks=block_streams())
-    @settings(max_examples=50, deadline=None)
-    def test_estimate_dram_cycles_is_a_timeline_wrapper(self, blocks):
-        """The fastmodel entry point is a thin compatibility shim: same
-        cycles as the timeline, stats in the legacy two-counter shape."""
+
+class TestTimelineGeometry:
+    """The replay builds dense ``window x num_banks`` tables, so the
+    oracle contract must hold at non-default bank counts and row sizes,
+    at the smallest queue, and at the stream-shape edges (one
+    transaction, a ragged last window, negative block ids)."""
+
+    @given(
+        blocks=block_streams(),
+        queue_depth=queue_depths,
+        num_banks=st.sampled_from([1, 2, 64]),
+        blocks_per_row=st.sampled_from([1, 4, 32]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_exact_at_any_geometry(
+        self, blocks, queue_depth, num_banks, blocks_per_row
+    ):
+        dram = DramConfig(
+            num_banks=num_banks, row_bytes=64 * blocks_per_row, t_refi=0
+        )
+        assert_timeline_matches_oracle(blocks, dram, queue_depth)
+
+    def test_queue_depth_one(self):
+        blocks = np.random.default_rng(3).integers(0, 4096, 301)
+        result = assert_timeline_matches_oracle(blocks, DramConfig(), 1)
+        assert result.queue_windows == 151
+
+    def test_single_transaction(self):
         dram = DramConfig()
-        cycles, stats = estimate_dram_cycles(blocks, dram)
-        result = service_timeline(blocks, dram)
-        assert cycles == result.cycles
-        assert stats == {
-            "row_changes": result.row_conflicts,
-            "activates": result.activates,
-        }
+        result = assert_timeline_matches_oracle(np.array([37]), dram)
+        assert result.cycles == dram.t_rc
+        assert result.cold_activates == result.activates == 1
+        assert result.bank_busy[37 % dram.num_banks] == dram.t_rc
+
+    def test_ragged_last_window(self):
+        # 2.5 windows of 8 over four rows, so the short tail window
+        # both reopens and hits carried rows.
+        blocks = np.random.default_rng(5).integers(0, 1024, 20)
+        result = assert_timeline_matches_oracle(blocks, DramConfig(), 4)
+        assert result.queue_windows == 3
+
+    def test_negative_block_ids(self):
+        rng = np.random.default_rng(11)
+        blocks = rng.integers(-5000, 5000, 400)
+        for depth in (1, 3, 32):
+            assert_timeline_matches_oracle(blocks, DramConfig(), depth)
+        assert_timeline_matches_oracle(
+            -np.arange(1, 200), DramConfig(num_banks=2, row_bytes=256), 2
+        )
+
+
+def _interleave_with_unique(elem_blocks, idx_blocks):
+    """The index-position rule as first written, with ``np.unique``."""
+    total = len(elem_blocks) + len(idx_blocks)
+    merged = np.empty(total, dtype=np.int64)
+    idx_pos = np.empty(0, dtype=np.int64)
+    if len(idx_blocks):
+        idx_pos = np.linspace(0, total - 1, num=len(idx_blocks)).astype(np.int64)
+        idx_pos = np.unique(idx_pos)
+        while len(idx_pos) < len(idx_blocks):
+            extra = np.setdiff1d(np.arange(total), idx_pos)[: len(idx_blocks) - len(idx_pos)]
+            idx_pos = np.sort(np.concatenate([idx_pos, extra]))
+    mask = np.zeros(total, dtype=bool)
+    mask[idx_pos] = True
+    merged[mask] = idx_blocks
+    merged[~mask] = elem_blocks
+    return merged
+
+
+class TestInterleave:
+    @given(
+        elem=st.one_of(st.integers(0, 6), st.integers(0, 3000)),
+        idx=st.one_of(st.integers(0, 6), st.integers(0, 3000)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_adjacent_dedup_matches_unique(self, elem, idx):
+        """Index positions come from a non-decreasing ``linspace``, so
+        dropping adjacent repeats places every transaction exactly
+        where ``np.unique`` did."""
+        elem_blocks = np.arange(elem, dtype=np.int64)
+        idx_blocks = -1 - np.arange(idx, dtype=np.int64)
+        merged = _interleave_streams(elem_blocks, idx_blocks)
+        assert np.array_equal(merged, _interleave_with_unique(elem_blocks, idx_blocks))
 
 
 class TestLegacyBoundDifferential:
